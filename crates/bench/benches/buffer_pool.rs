@@ -63,8 +63,9 @@ fn main() {
     eprintln!("working set: {working_set} pages");
 
     // The floor keeps tiny quick runs above the concurrency watermark:
-    // a pool smaller than the number of simultaneously pinned pages
-    // would abort on BufferPoolFull instead of measuring eviction.
+    // in a pool smaller than the number of simultaneously pinned pages
+    // misses wait for pins (and may retry on BufferPoolFull) instead of
+    // measuring eviction.
     let frames_for = |pct: usize| (working_set * pct / 100).max(16);
     let residencies = [
         (100u64, StorageKind::InMemory),

@@ -1341,7 +1341,10 @@ mod tests {
                 engine: EngineKind::Dora,
                 workers: 2,
                 clients: 2,
-                per_client: 60,
+                // Long enough that the killer thread, which polls the
+                // commit counter, gets scheduled before the run drains
+                // even when the rest of the suite has both cores busy.
+                per_client: 1_000,
                 mix: TatpMixKind::Skewed { theta: 0.8 },
                 balancer: false,
                 client_retries: 10,
@@ -1352,7 +1355,7 @@ mod tests {
                 }),
             },
         );
-        assert_eq!(s.committed + s.aborted, 120);
+        assert_eq!(s.committed + s.aborted, 2_000);
         assert!(s.committed > 0, "engine must keep committing past a kill");
         let get = |key: &str| {
             s.extra

@@ -1315,7 +1315,7 @@ impl Database {
 
     /// Buffer-pool statistics (hits, misses, evictions, latch waits).
     pub fn buffer_stats(&self) -> BufferStatsSnapshot {
-        self.buffer.stats().snapshot()
+        self.buffer.stats()
     }
 
     /// Pages allocated in the pool's backing store.

@@ -45,7 +45,11 @@ pub enum StorageError {
     },
     /// A page had no room for the record and the operation cannot proceed.
     PageFull,
-    /// The buffer pool could not find an evictable frame.
+    /// The buffer pool could not find an evictable frame: every frame
+    /// stayed pinned for the whole of the pool's bounded wait (a pool
+    /// smaller than the number of threads mid-page-access). Nothing was
+    /// changed and pins are transient, so the transaction is safe to
+    /// abort and retry.
     BufferPoolFull,
     /// A page-store I/O operation failed (read, write, or checkpoint
     /// fsync of the data file). The page's buffered copy is left intact
@@ -100,7 +104,9 @@ impl fmt::Display for StorageError {
                  state of transaction {writer}"
             ),
             StorageError::PageFull => write!(f, "page full"),
-            StorageError::BufferPoolFull => write!(f, "buffer pool full"),
+            StorageError::BufferPoolFull => {
+                write!(f, "buffer pool full: every frame pinned (retryable)")
+            }
             StorageError::PageIo(m) => write!(f, "page store I/O failure: {m}"),
             StorageError::LogCorrupt(m) => write!(f, "log corrupt: {m}"),
             StorageError::LogIo(m) => write!(f, "log I/O failure (retryable): {m}"),
@@ -122,8 +128,9 @@ impl StorageError {
     /// Returns `true` when the error is one the execution engine should
     /// respond to by aborting and retrying the transaction (deadlock, lock
     /// timeout, a validated read blocked on an in-flight writer, a
-    /// transient log I/O failure that wrote nothing, or a partition
-    /// worker that died mid-flight and is being respawned), as opposed to
+    /// transient log I/O failure that wrote nothing, a partition worker
+    /// that died mid-flight and is being respawned, or a buffer pool
+    /// whose every frame stayed pinned), as opposed to
     /// a genuine application error, an application-requested abort, or a
     /// poisoned log (which no retry can fix).
     pub fn is_retryable(&self) -> bool {
@@ -134,6 +141,7 @@ impl StorageError {
                 | StorageError::ReadUncommitted { .. }
                 | StorageError::LogIo(_)
                 | StorageError::WorkerUnavailable(_)
+                | StorageError::BufferPoolFull
         )
     }
 }
@@ -162,6 +170,7 @@ mod tests {
         .is_retryable());
         assert!(StorageError::LogIo("segment create: ENOSPC".into()).is_retryable());
         assert!(StorageError::WorkerUnavailable("partition 3 respawning".into()).is_retryable());
+        assert!(StorageError::BufferPoolFull.is_retryable());
         assert!(!StorageError::LogPoisoned("fsync failed".into()).is_retryable());
         assert!(!StorageError::Aborted("x".into()).is_retryable());
         assert!(!StorageError::NotFound.is_retryable());

@@ -33,6 +33,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -65,9 +66,9 @@ pub trait WalFile: Send {
 ///
 /// [`sync`]: PageFile::sync
 pub trait PageFile: Send + Sync {
-    /// Reads exactly `buf.len()` bytes at `offset`. Reading past the
-    /// current end of file is an error (the page store checks
-    /// [`byte_len`](PageFile::byte_len) first).
+    /// Reads exactly `buf.len()` bytes at `offset`. Running past the end
+    /// of file fails with [`io::ErrorKind::UnexpectedEof`] (to the page
+    /// store: "never written") and leaves `buf` unspecified.
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()>;
     /// Writes `buf` at `offset`, extending the file (zero-filled gap)
     /// if `offset` is past the current end.
@@ -123,35 +124,26 @@ impl WalFile for StdFile {
     }
 }
 
-/// Positioned I/O via seek-then-read/write under a mutex: portable
-/// (`std::fs` only, no `pread`/`pwrite` platform extensions) and the
-/// buffer pool already serializes per-frame I/O, so the mutex is not a
-/// hot-path lock.
-struct StdPageFile(std::sync::Mutex<std::fs::File>);
+/// Positioned I/O on a shared `File`: one `pread`/`pwrite` per call, no
+/// seek state and so no lock for misses, eviction writes and the
+/// writeback thread to queue on.
+struct StdPageFile(std::fs::File);
 
 impl PageFile for StdPageFile {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
-        use std::io::{Read, Seek, SeekFrom};
-        let mut file = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(offset))?;
-        file.read_exact(buf)
+        self.0.read_exact_at(buf, offset)
     }
 
     fn write_at(&self, offset: u64, buf: &[u8]) -> io::Result<()> {
-        use std::io::{Seek, SeekFrom, Write};
-        let mut file = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        file.seek(SeekFrom::Start(offset))?;
-        file.write_all(buf)
+        self.0.write_all_at(buf, offset)
     }
 
     fn byte_len(&self) -> io::Result<u64> {
-        let file = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        Ok(file.metadata()?.len())
+        Ok(self.0.metadata()?.len())
     }
 
     fn sync(&self) -> io::Result<()> {
-        let file = self.0.lock().unwrap_or_else(|e| e.into_inner());
-        file.sync_all()
+        self.0.sync_all()
     }
 }
 
@@ -206,7 +198,7 @@ impl WalFs for StdFs {
             .read(true)
             .write(true)
             .open(path)?;
-        Ok(Box::new(StdPageFile(std::sync::Mutex::new(file))))
+        Ok(Box::new(StdPageFile(file)))
     }
 }
 
@@ -256,14 +248,24 @@ struct SimPage {
 }
 
 impl SimPage {
-    /// The file as readers see it pre-crash: durable image with every
-    /// pending write applied in order.
-    fn view(&self) -> Vec<u8> {
-        let mut bytes = self.durable.clone();
-        for (off, buf) in &self.pending {
-            apply_write(&mut bytes, *off, buf);
-        }
-        bytes
+    /// File length as readers see it pre-crash: the durable image
+    /// extended by every pending write.
+    fn len(&self) -> u64 {
+        self.pending
+            .iter()
+            .map(|(off, bytes)| off + bytes.len() as u64)
+            .fold(self.durable.len() as u64, u64::max)
+    }
+}
+
+/// Copies into `dst` (which sits at file offset `dst_off`) the part of
+/// `src` (at `src_off`) that overlaps it.
+fn copy_overlap(dst: &mut [u8], dst_off: u64, src: &[u8], src_off: u64) {
+    let lo = dst_off.max(src_off);
+    let hi = (dst_off + dst.len() as u64).min(src_off + src.len() as u64);
+    if lo < hi {
+        dst[(lo - dst_off) as usize..(hi - dst_off) as usize]
+            .copy_from_slice(&src[(lo - src_off) as usize..(hi - src_off) as usize]);
     }
 }
 
@@ -463,13 +465,7 @@ impl WalFile for SimHandle {
     }
 }
 
-struct SimPageHandle {
-    state: Arc<Mutex<SimState>>,
-    path: PathBuf,
-    epoch: u64,
-}
-
-impl PageFile for SimPageHandle {
+impl PageFile for SimHandle {
     fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<()> {
         let st = self.state.lock();
         SimHandle::check_epoch(&st, self.epoch)?;
@@ -477,15 +473,20 @@ impl PageFile for SimPageHandle {
             .pages
             .get(&self.path)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such sim page file"))?;
-        let view = page.view();
-        let end = offset as usize + buf.len();
-        if view.len() < end {
+        if page.len() < offset + buf.len() as u64 {
             return Err(io::Error::new(
                 io::ErrorKind::UnexpectedEof,
                 "read past end of sim page file",
             ));
         }
-        buf.copy_from_slice(&view[offset as usize..end]);
+        // The durable bytes (zeros past their end) overlaid, oldest first,
+        // with the overlapping part of each pending write — the file as a
+        // pre-crash reader sees it, without materialising it.
+        buf.fill(0);
+        copy_overlap(buf, offset, &page.durable, 0);
+        for (off, bytes) in &page.pending {
+            copy_overlap(buf, offset, bytes, *off);
+        }
         Ok(())
     }
 
@@ -505,10 +506,7 @@ impl PageFile for SimPageHandle {
     fn byte_len(&self) -> io::Result<u64> {
         let st = self.state.lock();
         SimHandle::check_epoch(&st, self.epoch)?;
-        Ok(st
-            .pages
-            .get(&self.path)
-            .map_or(0, |p| p.view().len() as u64))
+        Ok(st.pages.get(&self.path).map_or(0, SimPage::len))
     }
 
     fn sync(&self) -> io::Result<()> {
@@ -613,7 +611,7 @@ impl WalFs for SimFs {
         st.pages.entry(path.to_path_buf()).or_default();
         let epoch = st.epoch;
         drop(st);
-        Ok(Box::new(SimPageHandle {
+        Ok(Box::new(SimHandle {
             state: self.state.clone(),
             path: path.to_path_buf(),
             epoch,
@@ -819,6 +817,69 @@ mod tests {
         assert_eq!(f2.byte_len().unwrap(), 26);
         drop(f2);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn std_page_file_concurrent_disjoint_pages_read_back_what_they_wrote() {
+        const PAGE: usize = 8192;
+        const THREADS: u64 = 8;
+        const PAGES_PER_THREAD: u64 = 16;
+        let dir = std::env::temp_dir().join(format!("dora-pagefile-conc-{}", std::process::id()));
+        let fs = StdFs;
+        fs.create_dir_all(&dir).unwrap();
+        let f = fs.open_page_file(&dir.join("pages.db")).unwrap();
+        std::thread::scope(|s| {
+            for t in 0..THREADS {
+                let f = &f;
+                s.spawn(move || {
+                    // Interleaved page numbers, so neighbours in the file
+                    // belong to different threads; several rounds, so
+                    // reads race other threads' writes.
+                    for round in 0..4u64 {
+                        for i in 0..PAGES_PER_THREAD {
+                            let page = i * THREADS + t;
+                            let fill = (page * 31 + round) as u8;
+                            f.write_at(page * PAGE as u64, &[fill; PAGE]).unwrap();
+                            let mut buf = [0u8; PAGE];
+                            f.read_at(page * PAGE as u64, &mut buf).unwrap();
+                            assert!(buf.iter().all(|&b| b == fill), "page {page} torn");
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(
+            f.byte_len().unwrap(),
+            THREADS * PAGES_PER_THREAD * PAGE as u64
+        );
+        // Past the end: the error kind the page store maps to "never
+        // written", including a read that only partly fits.
+        let mut buf = [0u8; PAGE];
+        let end = f.byte_len().unwrap();
+        for offset in [end, end - 100] {
+            let err = f.read_at(offset, &mut buf).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
+        }
+        drop(f);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn sim_page_file_reads_overlay_partial_pending_writes() {
+        let fs = SimFs::new();
+        let f = fs.open_page_file(&p("pages.db")).unwrap();
+        f.write_at(0, b"aaaaaaaa").unwrap();
+        f.sync().unwrap();
+        // Two pending writes, the newer overlapping the older and both
+        // only partly inside the read window.
+        f.write_at(2, b"BBBB").unwrap();
+        f.write_at(4, b"CCCCCC").unwrap();
+        assert_eq!(f.byte_len().unwrap(), 10);
+        let mut buf = [0u8; 6];
+        f.read_at(1, &mut buf).unwrap();
+        assert_eq!(&buf, b"aBBCCC");
+        let err = f.read_at(5, &mut buf).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
     }
 
     #[test]

@@ -32,8 +32,8 @@ const FREE_SLOT: u16 = u16::MAX;
 
 /// A slotted page view over a fixed-size buffer.
 ///
-/// `SlottedPage` owns its buffer; the buffer pool hands out copies of page
-/// bytes wrapped in this type and writes them back on unpin.
+/// `SlottedPage` owns its buffer: each buffer-pool frame holds one, and
+/// the page store reads into and writes from it directly.
 #[derive(Clone)]
 pub struct SlottedPage {
     data: Box<[u8; PAGE_SIZE]>,
@@ -51,18 +51,22 @@ impl SlottedPage {
         let mut p = SlottedPage {
             data: Box::new([0u8; PAGE_SIZE]),
         };
-        p.set_slot_count(0);
-        p.set_free_start(HEADER_SIZE as u16);
-        p.set_free_end(PAGE_SIZE as u16);
+        p.format();
         p
     }
 
-    /// Wraps existing page bytes (e.g. read back from the page store).
-    pub fn from_bytes(bytes: &[u8]) -> Self {
-        assert_eq!(bytes.len(), PAGE_SIZE, "page must be exactly PAGE_SIZE");
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        data.copy_from_slice(bytes);
-        SlottedPage { data }
+    /// Resets the page in place to empty (what the buffer pool does when
+    /// the store has no bytes for it). Only the header is rewritten:
+    /// with no slots, nothing can reach the bytes past it.
+    pub fn format(&mut self) {
+        self.data[..HEADER_SIZE].fill(0);
+        self.set_free_start(HEADER_SIZE as u16);
+        self.set_free_end(PAGE_SIZE as u16);
+    }
+
+    /// The page's own buffer, for the page store to read a page into.
+    pub fn as_bytes_mut(&mut self) -> &mut [u8; PAGE_SIZE] {
+        &mut self.data
     }
 
     /// Returns the raw page bytes.
@@ -356,7 +360,8 @@ mod tests {
         let mut p = SlottedPage::new();
         let s = p.insert(b"persisted").unwrap();
         p.set_lsn(42);
-        let copy = SlottedPage::from_bytes(p.as_bytes());
+        let mut copy = SlottedPage::new();
+        copy.as_bytes_mut().copy_from_slice(p.as_bytes());
         assert_eq!(copy.get(s).unwrap(), b"persisted");
         assert_eq!(copy.slot_count(), p.slot_count());
         assert_eq!(copy.lsn(), 42);
