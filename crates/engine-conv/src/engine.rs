@@ -455,7 +455,9 @@ mod tests {
             assert!(p.recv().unwrap().is_committed());
         }
         let events = engine.trace().snapshot();
-        assert_eq!(events.len(), 30);
+        // Two increments of one id can deadlock on the S→X upgrade; the
+        // loser's body runs (and records) again on retry.
+        assert_eq!(events.len() as u64, 30 + engine.stats().retries);
         assert!(events.iter().all(|e| e.worker < 3));
     }
 

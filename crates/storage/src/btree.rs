@@ -1,30 +1,83 @@
 //! B+-tree access method.
 //!
 //! The storage manager's ordered access method, used for every primary and
-//! secondary index. Keys are composite [`Key`] values; entries map a key to
-//! a [`RecordId`] in the table's heap file. Duplicate keys are allowed (for
-//! non-unique secondary indexes); uniqueness is enforced one level up by the
-//! database facade.
+//! secondary index. Entries map a composite key to a [`RecordId`] in the
+//! table's heap file. Duplicate keys are allowed (for non-unique secondary
+//! indexes); uniqueness is enforced one level up by the database facade.
 //!
-//! Concurrency: the tree is guarded by a single reader-writer latch. The
-//! paper's scalability argument concerns the *lock manager*, not index
-//! latching (Shore-MT already fixed index latching), so a coarse latch keeps
-//! this substrate simple while preserving the contention profile that
-//! matters: reads (the vast majority of index traffic in TATP/TPC-C probes)
-//! proceed in parallel.
+//! # Node layout
+//!
+//! Callers speak [`Key`] (`Vec<Value>`); nodes do not. A node stores each
+//! key **normalized** — the order-preserving byte string defined in
+//! `normkey.rs` — *inline* in its entry array:
+//!
+//! ```text
+//! Internal { keys:     [ NormKey | NormKey | .. ]      32 B each, contiguous
+//!            children: [ Node | Node | Node | .. ] }
+//! Leaf     { entries:  [ NormKey, RecordId | NormKey, RecordId | .. ] }
+//!
+//! NormKey  = Inline { bytes: [u8; 30], len }    the key bytes, in the node
+//!          | Spilled(Box<[u8]>)                 longer keys: one heap block
+//! ```
+//!
+//! A probe encodes its key once, on the stack, and every step of every
+//! binary search then compares byte strings — for inline keys a few
+//! big-endian words, `memcmp`-style — that sit in the node's own array: no
+//! pointer to follow per key, no `Value` enum to match per column. A point
+//! probe ([`BPlusTree::get_first`],
+//! [`BPlusTree::contains_key`]) stops at the first hit and allocates
+//! nothing; a prefix scan is `starts_with` on the bytes. Keys are decoded
+//! back to `Key` only by the walks whose callers read them
+//! ([`BPlusTree::range`], [`BPlusTree::scan_prefix`],
+//! [`BPlusTree::scan_all`]).
+//!
+//! # What "equal" means
+//!
+//! The bytes order exactly as `Value` slices do for **schema-typed** keys:
+//! every column holds NULL or values of its one declared type (`Int` and
+//! `BigInt` are one family and encode identically, so an `Int(5)` probe
+//! finds a `BigInt(5)` entry). That is what
+//! [`crate::schema::TableSchema::validate`] admits into a tree. The one
+//! narrowing against comparing `Value`s directly: a probe whose column is
+//! of a **different numeric family** than the indexed column — `Double(5.0)`
+//! against a `BigInt` column — finds nothing, where `Value`'s cross-family
+//! numeric comparison used to call the two equal.
+//!
+//! # Concurrency
+//!
+//! The tree is guarded by a single reader-writer latch, held for the
+//! length of one call: a probe or scan holds it shared from the root to
+//! the last entry it visits (decoding included, heap access never — the
+//! walks return record ids, not records); insert and remove hold it
+//! exclusive. The paper's scalability argument concerns the *lock
+//! manager*, not index latching (Shore-MT already fixed index latching),
+//! so a coarse latch keeps this substrate simple while preserving the
+//! contention profile that matters: reads (the vast majority of index
+//! traffic in TATP/TPC-C probes) proceed in parallel.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::RwLock;
 
+use crate::normkey::{self, NormKey};
 use crate::types::{Key, RecordId, Value};
 
 /// Maximum number of entries/keys per node before it splits.
 const DEFAULT_ORDER: usize = 64;
 
 enum Node {
-    Leaf { entries: Vec<(Key, RecordId)> },
-    Internal { keys: Vec<Key>, children: Vec<Node> },
+    Leaf {
+        entries: Vec<(NormKey, RecordId)>,
+    },
+    Internal {
+        keys: Vec<NormKey>,
+        children: Vec<Node>,
+    },
+}
+
+/// An entry as the key-reading walks return it.
+fn decoded(key: &NormKey, rid: RecordId) -> (Key, RecordId) {
+    (normkey::decode(key.as_bytes()), rid)
 }
 
 impl Node {
@@ -77,6 +130,7 @@ impl BPlusTree {
 
     /// Inserts an entry. Duplicate keys are allowed.
     pub fn insert(&self, key: Key, rid: RecordId) {
+        let key = NormKey::encode(&key);
         let mut root = self.root.write();
         if let Some((sep, right)) = Self::insert_rec(&mut root, key, rid, self.order) {
             // Root split: grow the tree by one level.
@@ -94,8 +148,9 @@ impl BPlusTree {
     /// Underflowing nodes are not rebalanced (lazy deletion, as in many
     /// production trees); the tree stays correct, only possibly less dense.
     pub fn remove(&self, key: &[Value], rid: RecordId) -> bool {
+        let key = NormKey::encode(key);
         let mut root = self.root.write();
-        let removed = Self::remove_rec(&mut root, key, rid);
+        let removed = Self::remove_rec(&mut root, &key, rid);
         if removed {
             self.len.fetch_sub(1, Ordering::Relaxed);
         }
@@ -104,27 +159,23 @@ impl BPlusTree {
 
     /// Returns every record id stored under `key`.
     pub fn get(&self, key: &[Value]) -> Vec<RecordId> {
-        let mut out = Vec::new();
-        let root = self.root.read();
-        Self::visit_from(
-            &root,
-            Some(key),
-            &mut |k, rid| match k.as_slice().cmp(key) {
-                std::cmp::Ordering::Less => true,
-                std::cmp::Ordering::Equal => {
-                    out.push(*rid);
-                    true
-                }
-                std::cmp::Ordering::Greater => false,
-            },
-        );
-        out
+        let key = NormKey::encode(key);
+        self.collect_while(&key, |k| *k == key, |_, rid| rid)
     }
 
     /// Returns the first record id stored under `key` (useful for unique
     /// indexes).
     pub fn get_first(&self, key: &[Value]) -> Option<RecordId> {
-        self.get(key).into_iter().next()
+        let key = NormKey::encode(key);
+        let mut hit = None;
+        // The walk starts at the first entry >= key: that entry decides.
+        self.walk_from(Some(&key), |k, rid| {
+            if *k == key {
+                hit = Some(rid);
+            }
+            false
+        });
+        hit
     }
 
     /// True when at least one entry exists under `key`.
@@ -134,45 +185,36 @@ impl BPlusTree {
 
     /// Returns all entries with `lo <= key <= hi`, in key order.
     pub fn range(&self, lo: &[Value], hi: &[Value]) -> Vec<(Key, RecordId)> {
-        let mut out = Vec::new();
-        let root = self.root.read();
-        Self::visit_from(&root, Some(lo), &mut |k, rid| {
-            if k.as_slice().cmp(hi) == std::cmp::Ordering::Greater {
-                false
-            } else {
-                if k.as_slice().cmp(lo) != std::cmp::Ordering::Less {
-                    out.push((k.clone(), *rid));
-                }
-                true
-            }
-        });
-        out
+        let (lo, hi) = (NormKey::encode(lo), NormKey::encode(hi));
+        self.collect_while(&lo, |k| *k <= hi, decoded)
+    }
+
+    /// The record ids of [`BPlusTree::range`], for callers that go on to
+    /// the heap and never look at the key: nothing is decoded.
+    pub(crate) fn rids_in_range(&self, lo: &[Value], hi: &[Value]) -> Vec<RecordId> {
+        let (lo, hi) = (NormKey::encode(lo), NormKey::encode(hi));
+        self.collect_while(&lo, |k| *k <= hi, |_, rid| rid)
     }
 
     /// Returns all entries whose key starts with `prefix`, in key order.
     /// Used for composite-key probes such as "all call-forwarding rows of a
     /// subscriber".
     pub fn scan_prefix(&self, prefix: &[Value]) -> Vec<(Key, RecordId)> {
-        let mut out = Vec::new();
-        let root = self.root.read();
-        Self::visit_from(&root, Some(prefix), &mut |k, rid| {
-            if k.len() >= prefix.len() && &k[..prefix.len()] == prefix {
-                out.push((k.clone(), *rid));
-                true
-            } else {
-                // Keys are sorted: once past the prefix region, stop.
-                k.as_slice().cmp(prefix) == std::cmp::Ordering::Less
-            }
-        });
-        out
+        let prefix = NormKey::encode(prefix);
+        self.collect_while(&prefix, |k| k.starts_with(&prefix), decoded)
+    }
+
+    /// The record ids of [`BPlusTree::scan_prefix`]; nothing is decoded.
+    pub(crate) fn rids_with_prefix(&self, prefix: &[Value]) -> Vec<RecordId> {
+        let prefix = NormKey::encode(prefix);
+        self.collect_while(&prefix, |k| k.starts_with(&prefix), |_, rid| rid)
     }
 
     /// Returns every entry in key order (used by loaders/verification).
     pub fn scan_all(&self) -> Vec<(Key, RecordId)> {
-        let mut out = Vec::new();
-        let root = self.root.read();
-        Self::visit_from(&root, None, &mut |k, rid| {
-            out.push((k.clone(), *rid));
+        let mut out = Vec::with_capacity(self.len());
+        self.walk_from(None, |k, rid| {
+            out.push(decoded(k, rid));
             true
         });
         out
@@ -197,15 +239,48 @@ impl BPlusTree {
 
     // --- internal recursion ---------------------------------------------
 
-    fn child_index(keys: &[Key], key: &[Value]) -> usize {
-        // Entries equal to a separator live in the right child.
-        keys.partition_point(|k| k.as_slice() <= key)
+    /// Collects `entry` of every entry from the first with key >= `lo`
+    /// for as long as `within` holds. Keys are sorted, so a run of equal
+    /// keys, a range and the keys sharing a prefix are each one such run.
+    fn collect_while<T>(
+        &self,
+        lo: &NormKey,
+        within: impl Fn(&NormKey) -> bool,
+        entry: impl Fn(&NormKey, RecordId) -> T,
+    ) -> Vec<T> {
+        let mut out = Vec::new();
+        self.walk_from(Some(lo), |k, rid| {
+            let within = within(k);
+            if within {
+                out.push(entry(k, rid));
+            }
+            within
+        });
+        out
     }
 
-    fn insert_rec(node: &mut Node, key: Key, rid: RecordId, order: usize) -> Option<(Key, Node)> {
+    /// Visits, under the shared latch and in key order, the encoded key and
+    /// record id of every entry with key >= `lo` (every entry when `lo` is
+    /// `None`) until `f` returns `false`.
+    fn walk_from(&self, lo: Option<&NormKey>, mut f: impl FnMut(&NormKey, RecordId) -> bool) {
+        let root = self.root.read();
+        Self::visit_from(&root, lo, &mut f);
+    }
+
+    fn child_index(keys: &[NormKey], key: &NormKey) -> usize {
+        // Entries equal to a separator live in the right child.
+        keys.partition_point(|k| k <= key)
+    }
+
+    fn insert_rec(
+        node: &mut Node,
+        key: NormKey,
+        rid: RecordId,
+        order: usize,
+    ) -> Option<(NormKey, Node)> {
         match node {
             Node::Leaf { entries } => {
-                let pos = entries.partition_point(|(k, _)| k.as_slice() <= key.as_slice());
+                let pos = entries.partition_point(|(k, _)| *k <= key);
                 entries.insert(pos, (key, rid));
                 if entries.len() > order {
                     let mid = entries.len() / 2;
@@ -229,9 +304,8 @@ impl BPlusTree {
                     children.insert(idx + 1, right);
                     if keys.len() > order {
                         let mid = keys.len() / 2;
-                        let promoted = keys[mid].clone();
                         let right_keys = keys.split_off(mid + 1);
-                        keys.pop(); // drop the promoted key from the left node
+                        let promoted = keys.pop().expect("mid < len: the left node keeps a key");
                         let right_children = children.split_off(mid + 1);
                         return Some((
                             promoted,
@@ -247,17 +321,21 @@ impl BPlusTree {
         }
     }
 
-    fn remove_rec(node: &mut Node, key: &[Value], rid: RecordId) -> bool {
+    fn remove_rec(node: &mut Node, key: &NormKey, rid: RecordId) -> bool {
         match node {
             Node::Leaf { entries } => {
-                if let Some(pos) = entries
+                // Binary-search to the key's run, then match the rid in it.
+                let start = entries.partition_point(|(k, _)| k < key);
+                let hit = entries[start..]
                     .iter()
-                    .position(|(k, r)| k.as_slice() == key && *r == rid)
-                {
-                    entries.remove(pos);
-                    true
-                } else {
-                    false
+                    .take_while(|(k, _)| k == key)
+                    .position(|(_, r)| *r == rid);
+                match hit {
+                    Some(offset) => {
+                        entries.remove(start + offset);
+                        true
+                    }
+                    None => false,
                 }
             }
             Node::Internal { keys, children } => {
@@ -265,7 +343,7 @@ impl BPlusTree {
                 // equal to `key`, so every child whose key range can contain
                 // `key` must be searched: from the first separator >= key
                 // (strict lower bound) through the canonical child.
-                let first = keys.partition_point(|k| k.as_slice() < key);
+                let first = keys.partition_point(|k| k < key);
                 let last = Self::child_index(keys, key);
                 for child in &mut children[first..=last] {
                     if Self::remove_rec(child, key, rid) {
@@ -282,17 +360,17 @@ impl BPlusTree {
     /// function returns `false` when the traversal was stopped.
     fn visit_from(
         node: &Node,
-        lo: Option<&[Value]>,
-        f: &mut impl FnMut(&Key, &RecordId) -> bool,
+        lo: Option<&NormKey>,
+        f: &mut impl FnMut(&NormKey, RecordId) -> bool,
     ) -> bool {
         match node {
             Node::Leaf { entries } => {
                 let start = match lo {
-                    Some(lo) => entries.partition_point(|(k, _)| k.as_slice() < lo),
+                    Some(lo) => entries.partition_point(|(k, _)| k < lo),
                     None => 0,
                 };
                 for (k, rid) in &entries[start..] {
-                    if !f(k, rid) {
+                    if !f(k, *rid) {
                         return false;
                     }
                 }
@@ -304,7 +382,7 @@ impl BPlusTree {
                 // after a split in the middle of a duplicate run) are still
                 // visited.
                 let start = match lo {
-                    Some(lo) => keys.partition_point(|k| k.as_slice() < lo),
+                    Some(lo) => keys.partition_point(|k| k < lo),
                     None => 0,
                 };
                 for child in &children[start.min(children.len() - 1)..] {
@@ -452,6 +530,84 @@ mod tests {
         assert_eq!(p2.len(), 3);
         let p3 = t.scan_prefix(&[Value::BigInt(999)]);
         assert!(p3.is_empty());
+    }
+
+    #[test]
+    fn point_probes_find_a_duplicate_wherever_splits_left_it() {
+        let t = BPlusTree::with_order(4);
+        for i in 0..50u64 {
+            t.insert(k(7), rid(i));
+            t.insert(k(i as i64 + 100), rid(1000 + i));
+        }
+        assert!(t.height() > 2);
+        assert!(t.contains_key(&k(7)));
+        assert!(!t.contains_key(&k(8)));
+        // Whichever duplicate is left, in whichever leaf, is the first hit.
+        for survivor in [0u64, 17, 49] {
+            let t = BPlusTree::with_order(4);
+            for i in 0..50u64 {
+                t.insert(k(7), rid(i));
+            }
+            for i in (0..50u64).filter(|&i| i != survivor) {
+                assert!(t.remove(&k(7), rid(i)), "remove duplicate {i}");
+            }
+            assert_eq!(t.get_first(&k(7)), Some(rid(survivor)));
+            assert_eq!(t.get(&k(7)), vec![rid(survivor)]);
+        }
+    }
+
+    #[test]
+    fn rid_only_walks_agree_with_the_decoding_walks() {
+        let t = BPlusTree::with_order(4);
+        for s_id in 0..30i64 {
+            for sf in 1..=3i32 {
+                t.insert(
+                    vec![Value::BigInt(s_id), Value::Int(sf)],
+                    rid((s_id * 10 + sf as i64) as u64),
+                );
+            }
+        }
+        let rids = |entries: Vec<(Key, RecordId)>| -> Vec<RecordId> {
+            entries.into_iter().map(|(_, rid)| rid).collect()
+        };
+        let (lo, hi) = ([Value::BigInt(3), Value::Int(2)], [Value::BigInt(9)]);
+        assert_eq!(t.rids_in_range(&lo, &hi), rids(t.range(&lo, &hi)));
+        assert_eq!(t.rids_in_range(&lo, &hi).len(), 2 + 5 * 3);
+        let prefix = [Value::BigInt(12)];
+        assert_eq!(t.rids_with_prefix(&prefix), rids(t.scan_prefix(&prefix)));
+        assert_eq!(t.rids_with_prefix(&prefix).len(), 3);
+        assert!(t.rids_with_prefix(&[Value::BigInt(99)]).is_empty());
+    }
+
+    #[test]
+    fn keys_too_long_for_the_node_work_the_same() {
+        let name = |i: i64| Value::Varchar(format!("{}-{i:04}", "subscriber".repeat(4)));
+        let t = BPlusTree::with_order(4);
+        for i in 0..200i64 {
+            t.insert(vec![name(i), Value::BigInt(i)], rid(i as u64));
+        }
+        assert_eq!(t.get_first(&[name(42), Value::BigInt(42)]), Some(rid(42)));
+        assert_eq!(t.scan_prefix(&[name(42)]).len(), 1);
+        let r = t.range(&[name(10)], &[name(19), Value::BigInt(i64::MAX)]);
+        assert_eq!(r.len(), 10);
+        assert_eq!(r[0].0, vec![name(10), Value::BigInt(10)]);
+        assert!(t.remove(&[name(42), Value::BigInt(42)], rid(42)));
+        assert!(!t.contains_key(&[name(42), Value::BigInt(42)]));
+    }
+
+    /// The one narrowing against comparing `Value`s (see the module docs):
+    /// equality across numeric *families* is gone, within the integer
+    /// family it stays.
+    #[test]
+    fn a_probe_of_another_numeric_family_does_not_match() {
+        let t = BPlusTree::new();
+        t.insert(k(5), rid(5));
+        assert_eq!(Value::Double(5.0), Value::BigInt(5));
+        assert!(t.get(&[Value::Double(5.0)]).is_empty());
+        assert!(!t.contains_key(&[Value::Double(5.0)]));
+        assert!(t.scan_prefix(&[Value::Double(5.0)]).is_empty());
+        assert_eq!(t.get_first(&[Value::Int(5)]), Some(rid(5)));
+        assert_eq!(t.scan_all()[0].0, k(5));
     }
 
     #[test]

@@ -692,10 +692,7 @@ impl Database {
         self.counters.reads.fetch_add(1, Ordering::Relaxed);
         let handle = self.table_handle(table)?;
         match handle.primary.get_first(key) {
-            Some(rid) => {
-                let bytes = handle.heap.get(rid)?;
-                Ok(Some(decode_record(&bytes)?))
-            }
+            Some(rid) => read_row(&handle.heap, rid).map(Some),
             None => Ok(None),
         }
     }
@@ -717,7 +714,7 @@ impl Database {
         }
         let mut rows = Vec::new();
         for rid in tree.get(key) {
-            let values = decode_record(&handle.heap.get(rid)?)?;
+            let values = read_row(&handle.heap, rid)?;
             if policy == LockingPolicy::Centralized {
                 let pk = handle.schema.primary_key_of(&values);
                 self.lock_mgr
@@ -745,8 +742,8 @@ impl Database {
                 .lock(txn, LockTarget::Table(table), LockMode::IS)?;
         }
         let mut rows = Vec::new();
-        for (_, rid) in tree.scan_prefix(prefix) {
-            let values = decode_record(&handle.heap.get(rid)?)?;
+        for rid in tree.rids_with_prefix(prefix) {
+            let values = read_row(&handle.heap, rid)?;
             if policy == LockingPolicy::Centralized {
                 let pk = handle.schema.primary_key_of(&values);
                 self.lock_mgr
@@ -776,9 +773,9 @@ impl Database {
         }
         let handle = self.table_handle(table)?;
         let mut rows = Vec::new();
-        for (_, rid) in handle.primary.range(lo, hi) {
+        for rid in handle.primary.rids_in_range(lo, hi) {
             self.counters.reads.fetch_add(1, Ordering::Relaxed);
-            rows.push(decode_record(&handle.heap.get(rid)?)?);
+            rows.push(read_row(&handle.heap, rid)?);
         }
         Ok(rows)
     }
@@ -803,8 +800,30 @@ impl Database {
         key: &[Value],
         policy: LockingPolicy,
     ) -> StorageResult<Option<Vec<Value>>> {
-        let mut rows = self.read_many_validated(txn, table, &[key.to_vec()], policy)?;
-        Ok(rows.pop().flatten())
+        self.txns.check_active(txn)?;
+        if policy == LockingPolicy::Centralized {
+            self.lock_mgr
+                .lock(txn, LockTarget::Table(table), LockMode::IS)?;
+            self.lock_mgr
+                .lock(txn, LockTarget::Key(table, key.to_vec()), LockMode::S)?;
+        }
+        let handle = self.table_handle(table)?;
+        let row = self.validated_attempt_loop(table, || {
+            let Some(rid) = handle.primary.get_first(key) else {
+                return Ok(Ok(None));
+            };
+            Ok(match self.snapshot_record(txn, handle, key, rid)? {
+                Ok((ver, values)) => match revalidate(&handle.heap, [(rid, ver)]) {
+                    Ok(()) => Ok(Some(values)),
+                    Err(_) => Err(SnapshotConflict::torn(key, 0)),
+                },
+                Err(conflict) => Err(conflict),
+            })
+        })?;
+        self.counters
+            .validated_reads
+            .fetch_add(1, Ordering::Relaxed);
+        Ok(row)
     }
 
     /// Validated multi-key lookup: all `keys` are read and then revalidated
@@ -833,28 +852,31 @@ impl Database {
             }
         }
         let handle = self.table_handle(table)?;
-        self.validated_attempt_loop(table, |db| {
+        let rows = self.validated_attempt_loop(table, || {
             let mut rows = Vec::with_capacity(keys.len());
             let mut observed = Vec::with_capacity(keys.len());
-            let mut observed_keys = Vec::with_capacity(keys.len());
             for key in keys {
                 match handle.primary.get_first(key) {
                     None => rows.push(None),
-                    Some(rid) => match db.snapshot_record(txn, handle, key, rid)? {
+                    Some(rid) => match self.snapshot_record(txn, handle, key, rid)? {
                         Ok((ver, values)) => {
                             rows.push(Some(values));
-                            observed.push((rid, ver));
-                            observed_keys.push(key);
+                            observed.push((key, rid, ver));
                         }
                         Err(conflict) => return Ok(Err(conflict)),
                     },
                 }
             }
-            Ok(match revalidate(&handle.heap, &observed) {
+            let versions = observed.iter().map(|&(_, rid, ver)| (rid, ver));
+            Ok(match revalidate(&handle.heap, versions) {
                 Ok(()) => Ok(rows),
-                Err(idx) => Err(SnapshotConflict::torn(observed_keys[idx], 0)),
+                Err(idx) => Err(SnapshotConflict::torn(observed[idx].0, 0)),
             })
-        })
+        })?;
+        self.counters
+            .validated_reads
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Ok(rows)
     }
 
     /// Validated primary-key range scan (inclusive bounds): the lock-free
@@ -877,12 +899,12 @@ impl Database {
                 .lock(txn, LockTarget::Table(table), LockMode::S)?;
         }
         let handle = self.table_handle(table)?;
-        self.validated_attempt_loop(table, |db| {
+        let rows = self.validated_attempt_loop(table, || {
             let entries = handle.primary.range(lo, hi);
             let mut rows = Vec::with_capacity(entries.len());
             let mut observed = Vec::with_capacity(entries.len());
             for (key, rid) in &entries {
-                match db.snapshot_record(txn, handle, key, *rid)? {
+                match self.snapshot_record(txn, handle, key, *rid)? {
                     Ok((ver, values)) => {
                         rows.push(values);
                         observed.push((*rid, ver));
@@ -890,11 +912,15 @@ impl Database {
                     Err(conflict) => return Ok(Err(conflict)),
                 }
             }
-            Ok(match revalidate(&handle.heap, &observed) {
+            Ok(match revalidate(&handle.heap, observed) {
                 Ok(()) => Ok(rows),
                 Err(idx) => Err(SnapshotConflict::torn(&entries[idx].0, 0)),
             })
-        })
+        })?;
+        self.counters
+            .validated_reads
+            .fetch_add(rows.len() as u64, Ordering::Relaxed);
+        Ok(rows)
     }
 
     /// Runs `attempt` under the validated-read retry policy: torn reads
@@ -906,18 +932,13 @@ impl Database {
     fn validated_attempt_loop<R>(
         &self,
         table: TableId,
-        mut attempt: impl FnMut(&Self) -> StorageResult<Result<Vec<R>, SnapshotConflict>>,
-    ) -> StorageResult<Vec<R>> {
+        mut attempt: impl FnMut() -> StorageResult<Result<R, SnapshotConflict>>,
+    ) -> StorageResult<R> {
         let mut uncommitted_hits = 0usize;
         let mut last_conflict = None;
         for _ in 0..VALIDATED_READ_SPINS {
-            match attempt(self)? {
-                Ok(rows) => {
-                    self.counters
-                        .validated_reads
-                        .fetch_add(rows.len() as u64, Ordering::Relaxed);
-                    return Ok(rows);
-                }
+            match attempt()? {
+                Ok(read) => return Ok(read),
                 Err(conflict) => {
                     self.counters
                         .validated_retries
@@ -952,33 +973,38 @@ impl Database {
         key: &[Value],
         rid: RecordId,
     ) -> StorageResult<Result<(RecordVersion, Vec<Value>), SnapshotConflict>> {
-        let (ver, payload) = match handle.heap.get_versioned(rid) {
-            Ok(read) => read,
+        // The header checks and the decode run on the record in its
+        // page, under the page latch: no copy of the record is made.
+        let read = handle.heap.read_versioned(rid, |ver, payload| {
+            if ver.is_write_in_progress() {
+                return Ok(Err(SnapshotConflict::torn(key, ver.stamp)));
+            }
+            if !self.stamp_stable(txn, ver.stamp) {
+                return Ok(Err(SnapshotConflict::uncommitted(key, ver.stamp)));
+            }
+            let values = tuple::decode(payload)?;
+            // Stale-entry guard: between the index probe and this read, the
+            // probed entry's record may have been deleted and its heap slot
+            // recycled for a *different key's* row. The recycled record is
+            // committed and version-stable, so word/stamp checks (and the
+            // later revalidation pass) cannot catch it — only the decoded
+            // primary key can. Without this check a validated scan returns
+            // the recycled row under the dead entry's range slot: a duplicate
+            // of a key elsewhere in (or outside) the range. Retry; the next
+            // attempt probes the index afresh.
+            let primary_key = handle.schema.primary_key.iter().map(|&c| &values[c]);
+            if !primary_key.eq(key) {
+                return Ok(Err(SnapshotConflict::torn(key, ver.stamp)));
+            }
+            Ok(Ok((ver, values)))
+        });
+        match read {
+            Ok(outcome) => outcome,
             // Relocated or deleted between index probe and heap access:
             // retry the attempt, the index resolves to the new location.
-            Err(StorageError::NotFound) => return Ok(Err(SnapshotConflict::torn(key, 0))),
-            Err(e) => return Err(e),
-        };
-        if ver.is_write_in_progress() {
-            return Ok(Err(SnapshotConflict::torn(key, ver.stamp)));
+            Err(StorageError::NotFound) => Ok(Err(SnapshotConflict::torn(key, 0))),
+            Err(e) => Err(e),
         }
-        if !self.stamp_stable(txn, ver.stamp) {
-            return Ok(Err(SnapshotConflict::uncommitted(key, ver.stamp)));
-        }
-        let values = tuple::decode(&payload)?;
-        // Stale-entry guard: between the index probe and this read, the
-        // probed entry's record may have been deleted and its heap slot
-        // recycled for a *different key's* row. The recycled record is
-        // committed and version-stable, so word/stamp checks (and the
-        // later revalidation pass) cannot catch it — only the decoded
-        // primary key can. Without this check a validated scan returns
-        // the recycled row under the dead entry's range slot: a duplicate
-        // of a key elsewhere in (or outside) the range. Retry; the next
-        // attempt probes the index afresh.
-        if handle.schema.primary_key_of(&values) != key {
-            return Ok(Err(SnapshotConflict::torn(key, ver.stamp)));
-        }
-        Ok(Ok((ver, values)))
     }
 
     /// Whether a record stamped by `stamp` holds a committed image from
@@ -1028,12 +1054,11 @@ impl Database {
         // park instead of decoding a record about to be rewritten. Every
         // error path below must restore the stable header, or the record
         // would block validated readers until this transaction finishes.
-        let (old_version, payload) = heap.get_for_update(rid, txn)?;
+        let (old_version, before) = heap.get_for_update(rid, txn, tuple::decode)?;
         let restore = |e: StorageError| {
             let _ = heap.write_version(rid, old_version);
             e
         };
-        let before = tuple::decode(&payload).map_err(&restore)?;
         let mut after = before.clone();
         for (col, value) in updates {
             if *col >= after.len() {
@@ -1125,12 +1150,11 @@ impl Database {
         // delete might yet be rolled back. Like `update`, every error path
         // below must restore the stable header — a record left odd would
         // wedge validated readers of this key forever.
-        let (old_version, payload) = heap.get_for_update(rid, txn)?;
+        let (old_version, before) = heap.get_for_update(rid, txn, tuple::decode)?;
         let restore = |e: StorageError| {
             let _ = heap.write_version(rid, old_version);
             e
         };
-        let before = tuple::decode(&payload).map_err(&restore)?;
         self.log_begin_if_first(txn).map_err(&restore)?;
         self.log.append(
             txn,
@@ -1391,7 +1415,7 @@ impl Database {
         let Some(rid) = handle.primary.get_first(key) else {
             return Ok(false);
         };
-        let before = decode_record(&handle.heap.get(rid)?)?;
+        let before = read_row(&handle.heap, rid)?;
         handle.heap.delete(rid)?;
         handle.primary.remove(key, rid);
         for sec in &handle.secondaries {
@@ -1416,8 +1440,7 @@ impl Database {
         // Stamp 0 publishes a stable image: undo (which runs while its
         // transaction is already marked aborted) and recovery redo both
         // leave the record immediately readable by validated readers.
-        let (old_version, payload) = handle.heap.get_for_update(rid, 0)?;
-        let before = tuple::decode(&payload)?;
+        let (old_version, before) = handle.heap.get_for_update(rid, 0, tuple::decode)?;
         let outcome = handle.heap.update(
             rid,
             &version::encode_record(old_version.publish(0), &tuple::encode(&image)),
@@ -1650,13 +1673,22 @@ fn decode_record(bytes: &[u8]) -> StorageResult<Vec<Value>> {
     tuple::decode(payload)
 }
 
+/// Decodes the row at `rid` out of its page, under the page latch: the row
+/// is the only thing allocated.
+fn read_row(heap: &HeapFile, rid: RecordId) -> StorageResult<Vec<Value>> {
+    heap.read(rid, decode_record)?
+}
+
 /// Revalidation pass of the snapshot protocol: every observed version
 /// header must still be in place — the **full** header, word and stamp,
 /// because slotted pages reuse deleted slots and a recycled record id
 /// carrying a coincidentally equal word (ABA) must not pass as unchanged.
 /// Returns the index of the first moved record.
-fn revalidate(heap: &HeapFile, observed: &[(RecordId, RecordVersion)]) -> Result<(), usize> {
-    for (idx, &(rid, ver)) in observed.iter().enumerate() {
+fn revalidate(
+    heap: &HeapFile,
+    observed: impl IntoIterator<Item = (RecordId, RecordVersion)>,
+) -> Result<(), usize> {
+    for (idx, (rid, ver)) in observed.into_iter().enumerate() {
         let stable = heap.read_version(rid).map(|v| v == ver).unwrap_or(false);
         if !stable {
             return Err(idx);

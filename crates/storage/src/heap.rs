@@ -1,13 +1,22 @@
 //! Heap files: unordered collections of records stored in slotted pages.
 //!
-//! The heap itself is byte-agnostic (`insert`/`get`/`update`/`delete` move
-//! opaque records), but it also understands the fixed 16-byte version
-//! header the database facade prepends to every tuple
-//! ([`crate::version`]): the `*_versioned` accessors split the header off,
-//! [`HeapFile::read_version`] reads *only* the header (the cheap
+//! The heap itself is byte-agnostic (`insert`/`read`/`update`/`delete` move
+//! opaque records). **Reads are closures**: [`HeapFile::read`] runs the
+//! caller's function on the record's bytes *in the page*, under the page's
+//! shared latch, and returns what it returns — so a point read decodes the
+//! tuple straight out of the frame and no intermediate copy of the record
+//! is ever made ([`HeapFile::get`] is the same read with `to_vec` as the
+//! function, for callers that do want the bytes). The function runs with
+//! the latch held: it may decode, compare and copy, and must not block or
+//! touch the buffer pool again.
+//!
+//! The heap also understands the fixed 16-byte version header the database
+//! facade prepends to every tuple ([`crate::version`]):
+//! [`HeapFile::read_versioned`] splits the header off before calling the
+//! function, [`HeapFile::read_version`] reads *only* the header (the cheap
 //! revalidation probe of the validated-read protocol), and
-//! [`HeapFile::get_for_update`] reads a record and stamps it
-//! write-in-progress under a single page latch.
+//! [`HeapFile::get_for_update`] reads a record through the caller's function
+//! and stamps it write-in-progress under a single (exclusive) page latch.
 
 use std::sync::atomic::{AtomicPtr, Ordering};
 use std::sync::Arc;
@@ -143,18 +152,29 @@ impl HeapFile {
         }
     }
 
-    /// Reads the record at `rid`.
-    pub fn get(&self, rid: RecordId) -> StorageResult<Vec<u8>> {
+    /// Runs `f` on the record at `rid`, in place, under the page's shared
+    /// latch (see the module docs for what `f` may do).
+    pub fn read<R>(&self, rid: RecordId, f: impl FnOnce(&[u8]) -> R) -> StorageResult<R> {
         self.buffer
-            .read_page(rid.page, |p| p.get(rid.slot).map(|r| r.to_vec()))?
+            .read_page(rid.page, |p| p.get(rid.slot).map(f))?
             .ok_or(StorageError::NotFound)
     }
 
-    /// Reads the record at `rid` and splits off its version header.
-    pub fn get_versioned(&self, rid: RecordId) -> StorageResult<(RecordVersion, Vec<u8>)> {
-        let bytes = self.get(rid)?;
-        let (ver, payload) = version::split(&bytes)?;
-        Ok((ver, payload.to_vec()))
+    /// Copies out the record at `rid`.
+    pub fn get(&self, rid: RecordId) -> StorageResult<Vec<u8>> {
+        self.read(rid, <[u8]>::to_vec)
+    }
+
+    /// [`HeapFile::read`] for versioned records: `f` receives the version
+    /// header and the tuple bytes behind it.
+    pub fn read_versioned<R>(
+        &self,
+        rid: RecordId,
+        f: impl FnOnce(RecordVersion, &[u8]) -> R,
+    ) -> StorageResult<R> {
+        self.read(rid, |bytes| {
+            version::split(bytes).map(|(ver, payload)| f(ver, payload))
+        })?
     }
 
     /// Reads only the version header of the record at `rid` — the
@@ -182,28 +202,34 @@ impl HeapFile {
         }
     }
 
-    /// Reads the record at `rid` and, under the same page latch, stamps it
-    /// **write-in-progress** (odd version word, `stamp` as the writer) —
-    /// the seqlock entry point of the versioned update/delete path. The
+    /// Reads the record at `rid` through `read` (which receives the tuple
+    /// bytes behind the version header) and, under the same page latch,
+    /// stamps it **write-in-progress** (odd version word, `stamp` as the
+    /// writer) — the seqlock entry point of the versioned update/delete
+    /// path. Returns the header as it was and what `read` returned; when
+    /// `read` fails the record is left unstamped. After a success the
     /// caller must either publish a new image (an even header) or restore
     /// the returned header on its error path; a record left odd blocks
     /// validated readers until its writer's transaction finishes.
-    pub fn get_for_update(
+    pub fn get_for_update<R>(
         &self,
         rid: RecordId,
         stamp: TxnId,
-    ) -> StorageResult<(RecordVersion, Vec<u8>)> {
+        read: impl FnOnce(&[u8]) -> StorageResult<R>,
+    ) -> StorageResult<(RecordVersion, R)> {
         self.buffer.with_page(rid.page, |p| {
             let Some(bytes) = p.get(rid.slot) else {
                 return (Err(StorageError::NotFound), false);
             };
-            let (ver, payload) = match version::split(bytes) {
-                Ok((ver, payload)) => (ver, payload.to_vec()),
+            let (ver, before) = match version::split(bytes)
+                .and_then(|(ver, payload)| read(payload).map(|before| (ver, before)))
+            {
+                Ok(read) => read,
                 Err(e) => return (Err(e), false),
             };
             let marked = p.write_prefix(rid.slot, &ver.begin_write(stamp).to_bytes());
             debug_assert!(marked, "record present but header write failed");
-            (Ok((ver, payload)), true)
+            (Ok((ver, before)), true)
         })?
     }
 
@@ -333,16 +359,23 @@ mod tests {
         let h = heap();
         let v = RecordVersion::initial(7);
         let rid = h.insert(&version::encode_record(v, b"tuple")).unwrap();
-        assert_eq!(h.get_versioned(rid).unwrap(), (v, b"tuple".to_vec()));
+        let read = h.read_versioned(rid, |ver, payload| (ver, payload.to_vec()));
+        assert_eq!(read.unwrap(), (v, b"tuple".to_vec()));
         assert_eq!(h.read_version(rid).unwrap(), v);
 
         // get_for_update returns the pre-image and leaves the record odd.
-        let (before, payload) = h.get_for_update(rid, 9).unwrap();
+        let (before, payload) = h.get_for_update(rid, 9, |p| Ok(p.to_vec())).unwrap();
         assert_eq!(before, v);
         assert_eq!(payload, b"tuple");
         let marked = h.read_version(rid).unwrap();
         assert!(marked.is_write_in_progress());
         assert_eq!(marked.stamp, 9);
+
+        // A read that fails leaves the record as it was: nothing to restore.
+        let failed: StorageResult<(RecordVersion, ())> =
+            h.get_for_update(rid, 11, |_| Err(StorageError::PageFull));
+        assert_eq!(failed, Err(StorageError::PageFull));
+        assert_eq!(h.read_version(rid).unwrap(), marked);
 
         // Publishing a new even header makes the record stable again.
         h.write_version(rid, before.publish(9)).unwrap();
@@ -353,7 +386,7 @@ mod tests {
         h.delete(rid).unwrap();
         assert!(h.read_version(rid).is_err());
         assert!(h.write_version(rid, v).is_err());
-        assert!(h.get_for_update(rid, 1).is_err());
+        assert!(h.get_for_update(rid, 1, |p| Ok(p.to_vec())).is_err());
     }
 
     #[test]

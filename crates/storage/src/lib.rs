@@ -50,6 +50,7 @@ pub mod error;
 pub mod heap;
 pub mod io;
 pub mod lock;
+mod normkey;
 pub mod page;
 pub mod recovery;
 pub mod schema;
