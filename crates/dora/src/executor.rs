@@ -47,9 +47,10 @@
 //!   partition whose worker runs the RVP logic is executed inline,
 //!   skipping the queue round-trip entirely. Workers **batch-drain**:
 //!   one atomic swap empties the priority lane, one lazily published
-//!   counter covers a whole fresh segment, and parking happens only on
-//!   verified-empty (eventcount), so the uncontended path touches no
-//!   mutex and no SeqCst handshake.
+//!   counter covers a whole fresh segment, and a worker sleeps only on
+//!   verified-empty after a bounded run of yielding polls
+//!   ([`crate::wait`]), so the uncontended path touches no mutex and no
+//!   SeqCst handshake.
 //! * **Coalesced outboxes** — the cross-partition messages one drain
 //!   batch produces (finishes, next-phase actions, probes) are buffered
 //!   per target partition and flushed as **one** mailbox push each
@@ -1373,16 +1374,10 @@ fn finalize(
     inner.active.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Bounded scheduler-yield spin a worker performs on an empty mailbox
-/// before committing to the futex park. Sized to a handful of quanta: an
-/// idle partition still parks (and burns no CPU), while a partition in a
-/// steady message flow rides publication-to-publication without syscalls.
-const PARK_SPIN_YIELDS: u32 = 32;
-
 /// The partition worker ("micro-engine") main loop.
 ///
 /// Event-driven: the worker parks on its mailbox when it has nothing
-/// actionable (eventcount — parking only on verified-empty), with a
+/// actionable (`Mailbox::park` — sleeping only on verified-empty), with a
 /// deadline only when parked actions exist — sized to the earliest
 /// lock-timeout expiry, not a fixed poll interval. Each iteration
 /// **batch-drains** the mailbox: the priority lane in one atomic swap
@@ -1408,22 +1403,14 @@ fn worker_loop(inner: &Arc<Inner>, st: &mut WorkerState) {
             if st.stats_dirty {
                 export_stats(inner, st);
             }
-            // Yield-spin before the futex park: under continuous load the
-            // next message typically lands within a few scheduler yields
-            // (on an oversubscribed box the yield hands the quantum to the
-            // producer directly), so the park handshake — two futex
-            // syscalls plus a context switch per message — is paid only by
-            // genuinely idle partitions. This is what keeps a *balanced*
-            // partition spread from losing to a single hot worker whose
-            // never-empty queue amortizes the wakeups away.
-            let mut spins = 0;
-            while spins < PARK_SPIN_YIELDS && !mailbox.has_pending() && !mailbox.is_closed() {
-                std::thread::yield_now();
-                spins += 1;
-            }
-            if !mailbox.has_pending() {
-                mailbox.park(st.waiting.next_deadline(inner.config.lock_timeout));
-            }
+            // `park` polls, yields a bounded number of times and only then
+            // sleeps (`crate::wait`): under continuous load the next
+            // message typically lands within a few scheduler yields, so the
+            // park/unpark syscall pair is paid only by genuinely idle
+            // partitions. This is what keeps a *balanced* partition spread
+            // from losing to a single hot worker whose never-empty queue
+            // amortizes the wakeups away.
+            mailbox.park(st.waiting.next_deadline(inner.config.lock_timeout));
         }
         if mailbox.is_closed() {
             break;
@@ -2700,6 +2687,22 @@ mod tests {
         assert_eq!(stats.aborted, 0);
         assert_eq!(stats.actions, 32);
         assert_eq!(read_value(&db, t, 0), 2);
+        e.shutdown();
+    }
+
+    #[test]
+    fn reply_can_be_awaited_on_another_thread_than_the_submitter() {
+        // `submit` on one thread, `recv` on others: the reply cell learns
+        // who waits when the waiter parks, not when it is created.
+        let (db, t, routing) = setup(16, 2);
+        let e = engine(db.clone(), routing, 2);
+        let pending: Vec<_> = (0..8).map(|i| e.submit(increment(t, i))).collect();
+        let waiters: Vec<_> = pending
+            .into_iter()
+            .map(|rx| std::thread::spawn(move || rx.recv().unwrap().is_committed()))
+            .collect();
+        assert!(waiters.into_iter().all(|w| w.join().unwrap()));
+        assert_eq!((0..8).map(|i| read_value(&db, t, i)).sum::<i64>(), 8);
         e.shutdown();
     }
 

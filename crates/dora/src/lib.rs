@@ -26,7 +26,11 @@
 //! * [`mailbox`] — the lock-free per-partition intake: a bounded MPSC
 //!   ring whose capacity *is* the fresh-lane admission bound, an
 //!   unbounded priority lane for worker-to-worker messages (drained with
-//!   one atomic swap), and eventcount parking.
+//!   one atomic swap), and yield-then-park waiting.
+//! * [`oneshot`] — the lock-free reply cell `submit` hands its client.
+//! * [`wait`] — the one wait primitive under both: a state word plus the
+//!   waiter's thread handle; waiters poll, yield a bounded number of
+//!   times, then park; wakers `unpark` only a waiter that sleeps.
 //! * [`executor`] — the [`executor::DoraEngine`]: one worker thread per
 //!   partition with a private mailbox, local lock table, and lock-keyed
 //!   wait list (parked actions wake only when a key they wait on is
@@ -83,6 +87,7 @@ pub mod local_lock;
 pub mod mailbox;
 pub mod oneshot;
 pub mod routing;
+pub mod wait;
 mod wait_list;
 
 pub use action::{ActionSpec, FlowGraph};

@@ -24,12 +24,16 @@
 //!   batch-drain the ring-side consumer mirrors (one lazily published
 //!   head counter per segment instead of one lock acquisition per
 //!   message).
-//! * **Parking** — eventcount-style: the consumer advertises it is about
-//!   to sleep, re-verifies both lanes are empty, and only then waits on a
-//!   condvar; producers check the advertisement *after* publishing. The
-//!   two sides are ordered by `SeqCst` fences (the classic store-buffer
-//!   pairing), so a wakeup can never be lost, and the mutex/condvar pair
-//!   is touched only when someone actually sleeps.
+//! * **Parking** — the crate's one wait primitive ([`crate::wait`]): the
+//!   consumer polls both lanes, polls again after each of a bounded number
+//!   of `yield_now`s ([`crate::wait::WAIT_YIELDS`] — a partition in a
+//!   steady message flow rides publication to publication without a
+//!   syscall), and only then advertises that it sleeps, re-verifies both
+//!   lanes are empty and parks its thread; producers check the
+//!   advertisement *after* publishing and `unpark` only a consumer that
+//!   advertised. The two sides are ordered by `SeqCst` fences (the classic
+//!   store-buffer pairing), so a wakeup can never be lost, and nobody
+//!   enters the kernel unless someone actually sleeps.
 //! * **Close protocol** — [`Mailbox::close`] sets a bit *in the ring's
 //!   tail counter* so no slot can be claimed afterwards, and the
 //!   consumer's final drain seals the priority lane by swapping in a
@@ -54,6 +58,8 @@ use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Or
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex};
+
+use crate::wait::WaitCell;
 
 /// Why a push did not enqueue. The message is handed back so the caller
 /// can fail it visibly (abort the transaction) instead of dropping it.
@@ -124,7 +130,7 @@ fn sealed<T>() -> *mut Node<T> {
 const TAIL_CLOSED: u64 = 1 << 63;
 
 /// A partition worker's input: bounded MPSC fresh ring + unbounded
-/// priority list + eventcount parking. See the module docs for the
+/// priority list + yield-then-park waiting. See the module docs for the
 /// design; one instance per partition, single consumer (the owning
 /// worker), any number of producers.
 pub struct Mailbox<T> {
@@ -146,10 +152,12 @@ pub struct Mailbox<T> {
     prio: AtomicPtr<Node<T>>,
     /// Priority-lane length (observability only).
     prio_len: AtomicUsize,
-    /// True while the consumer is in (or committing to) `park`.
-    sleeping: AtomicBool,
-    recv_mutex: Mutex<()>,
-    recv_cond: Condvar,
+    /// Where the consumer waits for a publication or the close. Producers
+    /// call `wake` on it *after* publishing: its `SeqCst` fence pairs with
+    /// the one in the consumer's `wait` (store-buffer pattern), so either
+    /// the producer sees the consumer's advertisement and unparks it, or
+    /// the consumer's emptiness re-check sees the message just published.
+    consumer: WaitCell,
     /// Producers blocked on a full fresh ring.
     space_waiters: AtomicUsize,
     space_mutex: Mutex<()>,
@@ -186,9 +194,7 @@ impl<T> Mailbox<T> {
             read: AtomicU64::new(0),
             prio: AtomicPtr::new(ptr::null_mut()),
             prio_len: AtomicUsize::new(0),
-            sleeping: AtomicBool::new(false),
-            recv_mutex: Mutex::new(()),
-            recv_cond: Condvar::new(),
+            consumer: WaitCell::new(),
             space_waiters: AtomicUsize::new(0),
             space_mutex: Mutex::new(()),
             space_cond: Condvar::new(),
@@ -244,14 +250,9 @@ impl<T> Mailbox<T> {
     pub fn close(&self) {
         self.closed.store(true, Ordering::SeqCst);
         self.tail.fetch_or(TAIL_CLOSED, Ordering::SeqCst);
-        {
-            let _guard = self.recv_mutex.lock();
-            self.recv_cond.notify_all();
-        }
-        {
-            let _guard = self.space_mutex.lock();
-            self.space_cond.notify_all();
-        }
+        self.consumer.wake();
+        let _guard = self.space_mutex.lock();
+        self.space_cond.notify_all();
     }
 
     /// One ring-claim attempt: a CAS on `tail` fused with the capacity
@@ -297,7 +298,7 @@ impl<T> Mailbox<T> {
         loop {
             match self.try_push_fresh(msg) {
                 Ok(()) => {
-                    self.wake_consumer();
+                    self.consumer.wake();
                     return Ok(());
                 }
                 Err(PushError::Closed(back)) => return Err(PushError::Closed(back)),
@@ -312,7 +313,7 @@ impl<T> Mailbox<T> {
                 Ok(()) => {
                     drop(guard);
                     self.space_waiters.fetch_sub(1, Ordering::SeqCst);
-                    self.wake_consumer();
+                    self.consumer.wake();
                     return Ok(());
                 }
                 Err(PushError::Closed(back)) => {
@@ -368,21 +369,8 @@ impl<T> Mailbox<T> {
             }
         }
         self.prio_len.fetch_add(1, Ordering::Relaxed);
-        self.wake_consumer();
+        self.consumer.wake();
         Ok(())
-    }
-
-    /// Producer half of the eventcount: after publishing, check whether
-    /// the consumer advertised a park. The `SeqCst` fence pairs with the
-    /// consumer's fence in [`Mailbox::park`] (store-buffer pattern): either
-    /// this load sees `sleeping` or the consumer's emptiness check sees
-    /// the message just published.
-    fn wake_consumer(&self) {
-        fence(Ordering::SeqCst);
-        if self.sleeping.load(Ordering::Relaxed) {
-            let _guard = self.recv_mutex.lock();
-            self.recv_cond.notify_all();
-        }
     }
 
     /// Swings the priority lane's entire ready segment into `out` with a
@@ -583,50 +571,25 @@ impl<T> Mailbox<T> {
         self.read.load(Ordering::Relaxed) == self.tail.load(Ordering::Acquire) & !TAIL_CLOSED
     }
 
-    /// Consumer half of the eventcount: parks until a producer publishes,
+    /// Consumer half of the hand-off: waits — poll, bounded yielding polls,
+    /// then a real park ([`WaitCell::wait`]) — until a producer publishes,
     /// `deadline` passes, or the mailbox closes. Emptiness is re-verified
-    /// *after* advertising the park (with a `SeqCst` fence in between) and
-    /// once more under the mutex, so no publication can slip through
-    /// unnoticed. Consumer-only.
+    /// *after* advertising the park (with a `SeqCst` fence in between), so
+    /// no publication can slip through unnoticed. Consumer-only.
     pub fn park(&self, deadline: Option<Instant>) -> Parked {
-        self.sleeping.store(true, Ordering::Relaxed);
-        fence(Ordering::SeqCst);
-        let unpark = |result: Parked| {
-            self.sleeping.store(false, Ordering::Relaxed);
-            result
+        // SAFETY: one waiter at a time — the mailbox's single-consumer
+        // contract, the same one every `drain_*` call here relies on.
+        let woken = unsafe {
+            self.consumer
+                .wait(deadline, || self.is_closed() || self.has_pending())
         };
         if self.is_closed() {
-            return unpark(Parked::Closed);
+            Parked::Closed
+        } else if woken {
+            Parked::Woken
+        } else {
+            Parked::TimedOut
         }
-        if self.has_pending() {
-            return unpark(Parked::Woken);
-        }
-        let mut guard = self.recv_mutex.lock();
-        if self.is_closed() {
-            drop(guard);
-            return unpark(Parked::Closed);
-        }
-        if self.has_pending() {
-            drop(guard);
-            return unpark(Parked::Woken);
-        }
-        let result = match deadline {
-            None => {
-                self.recv_cond.wait(&mut guard);
-                Parked::Woken
-            }
-            Some(deadline) => {
-                let now = Instant::now();
-                if now >= deadline {
-                    Parked::TimedOut
-                } else {
-                    self.recv_cond.wait_for(&mut guard, deadline - now);
-                    Parked::Woken
-                }
-            }
-        };
-        drop(guard);
-        unpark(result)
     }
 }
 

@@ -368,16 +368,26 @@ impl LockManager {
             let bucket = &self.buckets[target.bucket(self.buckets.len())];
             self.enter_cs();
             let mut entries = bucket.entries.lock();
+            // Wake the bucket only if someone queues on this target: a
+            // waiter enters `waiters` under this latch before it first
+            // sleeps and re-checks under it after every wake, so an empty
+            // queue means nobody to tell. (An unconditional notify here
+            // was one `futex_wake` per lock released — 4.4 per TATP
+            // transaction, none of them waking anyone.)
+            let mut wake = false;
             if let Some(entry) = entries.get_mut(&target) {
                 entry.granted.retain(|g| g.txn != txn);
                 entry.waiters.retain(|w| w.txn != txn);
+                wake = !entry.waiters.is_empty();
                 if entry.is_empty() {
                     entries.remove(&target);
                 }
                 self.stats.releases.fetch_add(1, Ordering::Relaxed);
             }
             drop(entries);
-            bucket.condvar.notify_all();
+            if wake {
+                bucket.condvar.notify_all();
+            }
         }
         self.clear_waits(txn);
     }

@@ -2,31 +2,85 @@
 //! `shims/README.md`).
 //!
 //! Implements multi-producer **multi-consumer** channels — the property the
-//! execution engines rely on for their shared worker input queues — on top
+//! conventional engine relies on for its shared worker input queue — on top
 //! of a `Mutex<VecDeque>` plus two condition variables. Disconnection
 //! semantics follow crossbeam: `recv` fails once every `Sender` is dropped
 //! and the queue is drained; `send` fails once every `Receiver` is dropped.
+//!
+//! # Waiting policy
+//!
+//! The real crate does not sleep the moment a channel is empty, and does
+//! not enter the kernel to wake a receiver that is not asleep
+//! (`Backoff::snooze` before blocking, a waker list consulted on send).
+//! The stand-in follows it, with the same policy `dora-core`'s wait
+//! primitive uses, so that the two engines of the A/B differ in their
+//! execution model and not in how their threads wait:
+//!
+//! * `recv` / `recv_timeout` first poll the queue length — an atomic
+//!   mirror of `queue.len()`, read **without** the mutex — then poll it
+//!   again after each of [`RECV_YIELDS`] `yield_now`s, and only then block
+//!   on the condition variable. `RECV_YIELDS` has the value of
+//!   `dora_core::wait::WAIT_YIELDS`. There is no busy-spin phase (on a box
+//!   with fewer cores than threads a spinning receiver holds the core its
+//!   sender needs).
+//! * `send` notifies `recv_ready`, and `recv` notifies `send_ready`, only
+//!   when the count of threads blocked on that condition variable — kept
+//!   under the mutex — is non-zero. A hand-off to a receiver that is busy
+//!   or still polling costs no `futex_wake`.
 
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
+
+/// `yield_now` polls a receiver makes on an empty channel before it blocks.
+/// Same value as `dora_core::wait::WAIT_YIELDS`: both engines wait alike.
+pub const RECV_YIELDS: u32 = 32;
 
 struct State<T> {
     queue: VecDeque<T>,
     senders: usize,
     receivers: usize,
+    /// Receivers blocked on `recv_ready` (or woken and not yet running).
+    recv_waiters: usize,
+    /// Senders blocked on `send_ready` (or woken and not yet running).
+    send_waiters: usize,
 }
 
 struct Chan<T> {
     state: Mutex<State<T>>,
+    /// `state.queue.len()`, stored under the mutex after every push and
+    /// pop, loaded without it by polling receivers and `len()`.
+    len: AtomicUsize,
     /// Signaled when a message is pushed or the last sender leaves.
     recv_ready: Condvar,
     /// Signaled when a message is popped or the last receiver leaves.
     send_ready: Condvar,
     capacity: Option<usize>,
+}
+
+impl<T> Chan<T> {
+    fn lock(&self) -> MutexGuard<'_, State<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Pops the head under the caller's lock, then — lock released — wakes
+    /// one blocked sender if there is one. `None` leaves the lock held.
+    fn pop<'a>(&self, mut state: MutexGuard<'a, State<T>>) -> Result<T, MutexGuard<'a, State<T>>> {
+        let Some(msg) = state.queue.pop_front() else {
+            return Err(state);
+        };
+        self.len.store(state.queue.len(), Ordering::Release);
+        let wake = state.send_waiters > 0;
+        drop(state);
+        if wake {
+            self.send_ready.notify_one();
+        }
+        Ok(msg)
+    }
 }
 
 /// Error returned by [`Sender::send`] when all receivers are gone; carries
@@ -84,10 +138,6 @@ pub struct Receiver<T> {
     chan: Arc<Chan<T>>,
 }
 
-fn lock<T>(chan: &Chan<T>) -> std::sync::MutexGuard<'_, State<T>> {
-    chan.state.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 /// Creates an unbounded channel.
 pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
     with_capacity(None)
@@ -105,7 +155,10 @@ fn with_capacity<T>(capacity: Option<usize>) -> (Sender<T>, Receiver<T>) {
             queue: VecDeque::new(),
             senders: 1,
             receivers: 1,
+            recv_waiters: 0,
+            send_waiters: 0,
         }),
+        len: AtomicUsize::new(0),
         recv_ready: Condvar::new(),
         send_ready: Condvar::new(),
         capacity,
@@ -117,31 +170,38 @@ impl<T> Sender<T> {
     /// Sends a message, blocking while a bounded channel is full. Fails only
     /// when every receiver has been dropped.
     pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-        let mut state = lock(&self.chan);
-        if let Some(cap) = self.chan.capacity {
-            while state.queue.len() >= cap.max(1) {
-                if state.receivers == 0 {
-                    return Err(SendError(msg));
-                }
-                state = self
-                    .chan
+        let chan = &*self.chan;
+        let mut state = chan.lock();
+        if let Some(cap) = chan.capacity {
+            while state.queue.len() >= cap.max(1) && state.receivers > 0 {
+                state.send_waiters += 1;
+                state = chan
                     .send_ready
                     .wait(state)
                     .unwrap_or_else(PoisonError::into_inner);
+                state.send_waiters -= 1;
             }
         }
         if state.receivers == 0 {
             return Err(SendError(msg));
         }
         state.queue.push_back(msg);
+        chan.len.store(state.queue.len(), Ordering::Release);
+        // A receiver counted here is inside `wait` or on its way back to
+        // re-check the queue under the lock; one that is not counted has
+        // not yet looked at the queue under the lock. Either way it finds
+        // this message, so nobody else needs waking.
+        let wake = state.recv_waiters > 0;
         drop(state);
-        self.chan.recv_ready.notify_one();
+        if wake {
+            chan.recv_ready.notify_one();
+        }
         Ok(())
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        lock(&self.chan).queue.len()
+        self.chan.len.load(Ordering::Acquire)
     }
 
     /// Whether the queue is currently empty.
@@ -152,7 +212,7 @@ impl<T> Sender<T> {
 
 impl<T> Clone for Sender<T> {
     fn clone(&self) -> Self {
-        lock(&self.chan).senders += 1;
+        self.chan.lock().senders += 1;
         Sender {
             chan: self.chan.clone(),
         }
@@ -161,7 +221,7 @@ impl<T> Clone for Sender<T> {
 
 impl<T> Drop for Sender<T> {
     fn drop(&mut self) {
-        let mut state = lock(&self.chan);
+        let mut state = self.chan.lock();
         state.senders -= 1;
         let last = state.senders == 0;
         drop(state);
@@ -182,68 +242,76 @@ impl<T> Receiver<T> {
     /// Receives a message, blocking until one is available. Fails only when
     /// the channel is empty and every sender has been dropped.
     pub fn recv(&self) -> Result<T, RecvError> {
-        let mut state = lock(&self.chan);
-        loop {
-            if let Some(msg) = state.queue.pop_front() {
-                drop(state);
-                self.chan.send_ready.notify_one();
-                return Ok(msg);
-            }
-            if state.senders == 0 {
-                return Err(RecvError);
-            }
-            state = self
-                .chan
-                .recv_ready
-                .wait(state)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
+        self.recv_until(None).map_err(|_| RecvError)
     }
 
     /// Receives a message, giving up after `timeout`.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<T, RecvTimeoutError> {
-        let deadline = Instant::now() + timeout;
-        let mut state = lock(&self.chan);
-        loop {
-            if let Some(msg) = state.queue.pop_front() {
-                drop(state);
-                self.chan.send_ready.notify_one();
+        self.recv_until(Some(Instant::now() + timeout))
+    }
+
+    /// Poll, yield-and-poll [`RECV_YIELDS`] times, then block (see the
+    /// module docs). Without a deadline the only error is `Disconnected`.
+    fn recv_until(&self, deadline: Option<Instant>) -> Result<T, RecvTimeoutError> {
+        let chan = &*self.chan;
+        // The length is read without the mutex: an empty poll must not
+        // make a sender's unlock a contended one (a `futex_wake`).
+        let poll = || {
+            (chan.len.load(Ordering::Acquire) > 0)
+                .then(|| chan.pop(chan.lock()).ok())
+                .flatten()
+        };
+        if let Some(msg) = poll() {
+            return Ok(msg);
+        }
+        for _ in 0..RECV_YIELDS {
+            std::thread::yield_now();
+            if let Some(msg) = poll() {
                 return Ok(msg);
             }
+        }
+        let mut state = chan.lock();
+        loop {
+            state = match chan.pop(state) {
+                Ok(msg) => return Ok(msg),
+                Err(state) => state,
+            };
             if state.senders == 0 {
                 return Err(RecvTimeoutError::Disconnected);
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+            if left.is_some_and(|left| left.is_zero()) {
                 return Err(RecvTimeoutError::Timeout);
             }
-            let (guard, _) = self
-                .chan
-                .recv_ready
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
+            state.recv_waiters += 1;
+            state = match left {
+                None => chan
+                    .recv_ready
+                    .wait(state)
+                    .unwrap_or_else(PoisonError::into_inner),
+                Some(left) => {
+                    chan.recv_ready
+                        .wait_timeout(state, left)
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .0
+                }
+            };
+            state.recv_waiters -= 1;
         }
     }
 
     /// Receives a message if one is immediately available.
     pub fn try_recv(&self) -> Result<T, TryRecvError> {
-        let mut state = lock(&self.chan);
-        if let Some(msg) = state.queue.pop_front() {
-            drop(state);
-            self.chan.send_ready.notify_one();
-            return Ok(msg);
-        }
-        if state.senders == 0 {
-            Err(TryRecvError::Disconnected)
-        } else {
-            Err(TryRecvError::Empty)
+        match self.chan.pop(self.chan.lock()) {
+            Ok(msg) => Ok(msg),
+            Err(state) if state.senders == 0 => Err(TryRecvError::Disconnected),
+            Err(_) => Err(TryRecvError::Empty),
         }
     }
 
     /// Number of messages currently queued.
     pub fn len(&self) -> usize {
-        lock(&self.chan).queue.len()
+        self.chan.len.load(Ordering::Acquire)
     }
 
     /// Whether the queue is currently empty.
@@ -254,7 +322,7 @@ impl<T> Receiver<T> {
 
 impl<T> Clone for Receiver<T> {
     fn clone(&self) -> Self {
-        lock(&self.chan).receivers += 1;
+        self.chan.lock().receivers += 1;
         Receiver {
             chan: self.chan.clone(),
         }
@@ -263,7 +331,7 @@ impl<T> Clone for Receiver<T> {
 
 impl<T> Drop for Receiver<T> {
     fn drop(&mut self) {
-        let mut state = lock(&self.chan);
+        let mut state = self.chan.lock();
         state.receivers -= 1;
         let last = state.receivers == 0;
         drop(state);
@@ -357,5 +425,84 @@ mod tests {
         assert_eq!(rx.recv(), Ok(1));
         assert_eq!(rx.recv(), Ok(2));
         t.join().unwrap();
+    }
+
+    /// Blocks until `n` receivers are counted as blocked on `recv_ready`:
+    /// the tests below need their receivers past the yield phase, and the
+    /// waiter count is exactly the state they are about.
+    fn until_blocked<T>(tx: &Sender<T>, n: usize) {
+        while tx.chan.lock().recv_waiters < n {
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn two_blocked_receivers_are_both_woken_by_two_sends() {
+        // `send` notifies one waiter and only when the waiter count is
+        // non-zero. The lost-wakeup case for that pair: the second send
+        // must not conclude "already notified" while a second receiver is
+        // still asleep.
+        for _ in 0..200 {
+            let (tx, rx) = unbounded::<u32>();
+            let receivers: Vec<_> = (0..2)
+                .map(|_| {
+                    let rx = rx.clone();
+                    std::thread::spawn(move || rx.recv())
+                })
+                .collect();
+            until_blocked(&tx, 2);
+            tx.send(1).unwrap();
+            tx.send(2).unwrap();
+            let mut got: Vec<u32> = receivers
+                .into_iter()
+                .map(|r| r.join().unwrap().unwrap())
+                .collect();
+            got.sort_unstable();
+            assert_eq!(got, vec![1, 2]);
+            assert_eq!(tx.chan.lock().recv_waiters, 0);
+        }
+    }
+
+    #[test]
+    fn blocked_recv_observes_disconnect() {
+        let (tx, rx) = unbounded::<u32>();
+        let receiver = std::thread::spawn(move || rx.recv());
+        until_blocked(&tx, 1);
+        drop(tx);
+        assert_eq!(receiver.join().unwrap(), Err(RecvError));
+    }
+
+    #[test]
+    fn one_recv_releases_a_sender_blocked_on_a_full_channel() {
+        let (tx, rx) = bounded(1);
+        tx.send(1).unwrap();
+        let sender = {
+            let tx = tx.clone();
+            std::thread::spawn(move || tx.send(2))
+        };
+        while tx.chan.lock().send_waiters == 0 {
+            std::thread::yield_now();
+        }
+        assert_eq!(rx.recv(), Ok(1));
+        assert!(sender.join().unwrap().is_ok(), "the pop must notify");
+        assert_eq!(rx.recv(), Ok(2));
+        assert_eq!((rx.len(), tx.chan.lock().send_waiters), (0, 0));
+    }
+
+    #[test]
+    fn a_polling_receiver_costs_the_sender_no_notify() {
+        // A receiver that finds the message during its poll phase never
+        // registers as a waiter, so `send` has nobody to notify; the
+        // length mirror is what it polled.
+        let (tx, rx) = unbounded();
+        tx.send(5).unwrap();
+        assert_eq!((tx.len(), tx.chan.lock().recv_waiters), (1, 0));
+        assert_eq!(rx.recv(), Ok(5));
+        assert!(rx.is_empty());
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(1)),
+            Err(RecvTimeoutError::Timeout)
+        );
+        assert_eq!(tx.chan.lock().recv_waiters, 0, "a timeout deregisters");
     }
 }
